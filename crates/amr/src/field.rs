@@ -160,37 +160,39 @@ impl CompositeField {
         &mut self.patches[idx]
     }
 
+    /// Every patch grid, mutably, in flat index order — for sweeps that
+    /// split the patches into disjoint ranges and write them in parallel.
+    pub fn patches_mut(&mut self) -> &mut [Grid2<f64>] {
+        &mut self.patches
+    }
+
     /// Total active cells (sum over patches).
     pub fn active_cells(&self) -> usize {
         self.patches.iter().map(|p| p.len()).sum()
     }
 
-    /// Ghost line for patch `(py, px)` on `side`: the neighbor's adjacent
-    /// cell values resampled to this patch's resolution along the shared
-    /// interface. Returns `None` at a domain boundary (caller applies its
-    /// physical boundary condition instead).
+    /// Ghost line for patch `(py, px)` on `side`, written into `out`: the
+    /// neighbor's adjacent cell values resampled to this patch's
+    /// resolution along the shared interface. Returns `false`, with `out`
+    /// empty, at a domain boundary (the caller applies its physical
+    /// boundary condition instead). `out` is cleared first and only grows,
+    /// so a reused buffer stops allocating once it fits the longest line.
     ///
     /// Resolution jumps are handled by linear interpolation along the
     /// neighbor's first interior line — fine neighbors are averaged down,
     /// coarse neighbors interpolated up. This is the standard face-ghost
     /// fill for block-structured AMR.
-    pub fn ghost_line(&self, py: usize, px: usize, side: Side) -> Option<Vec<f64>> {
+    pub fn ghost_line_into(&self, py: usize, px: usize, side: Side, out: &mut Vec<f64>) -> bool {
+        out.clear();
         let layout = self.map.layout();
-        let (ny, nx) = match side {
-            Side::ILo => (py.checked_sub(1)?, px),
-            Side::IHi => {
-                if py + 1 >= layout.npy {
-                    return None;
-                }
-                (py + 1, px)
-            }
-            Side::JLo => (py, px.checked_sub(1)?),
-            Side::JHi => {
-                if px + 1 >= layout.npx {
-                    return None;
-                }
-                (py, px + 1)
-            }
+        let neighbor = match side {
+            Side::ILo => py.checked_sub(1).map(|ny| (ny, px)),
+            Side::IHi => (py + 1 < layout.npy).then_some((py + 1, px)),
+            Side::JLo => px.checked_sub(1).map(|nx| (py, nx)),
+            Side::JHi => (px + 1 < layout.npx).then_some((py, px + 1)),
+        };
+        let Some((ny, nx)) = neighbor else {
+            return false;
         };
         let me = self.patch(py, px);
         let nb = self.patch(ny, nx);
@@ -199,8 +201,7 @@ impl CompositeField {
             Side::ILo | Side::IHi => (me.nx(), nb.nx()),
             Side::JHi | Side::JLo => (me.ny(), nb.ny()),
         };
-        let mut out = Vec::with_capacity(mine);
-        for k in 0..mine {
+        out.extend((0..mine).map(|k| {
             // Fractional position along the interface, in neighbor cells.
             let t = (k as f64 + 0.5) * theirs as f64 / mine as f64 - 0.5;
             let t = t.clamp(0.0, theirs as f64 - 1.0);
@@ -215,9 +216,9 @@ impl CompositeField {
                 Side::JHi => (nb.get(k0, 0), nb.get(k1, 0)),
                 Side::JLo => (nb.get(k0, nb.nx() - 1), nb.get(k1, nb.nx() - 1)),
             };
-            out.push(v0 * (1.0 - frac) + v1 * frac);
-        }
-        Some(out)
+            v0 * (1.0 - frac) + v1 * frac
+        }));
+        true
     }
 
     /// Resample this field onto a new refinement map of the same layout
@@ -342,19 +343,20 @@ mod tests {
     }
 
     #[test]
-    fn ghost_line_same_level() {
+    fn ghost_line_into_same_level() {
         let map = RefinementMap::uniform(layout(), 0, 3);
         let mut f = CompositeField::zeros(&map);
         // Neighbor to the east of (0,0) is (0,1); fill its first column.
         for i in 0..4 {
             f.patch_mut(0, 1).set(i, 0, (i + 1) as f64);
         }
-        let g = f.ghost_line(0, 0, Side::JHi).unwrap();
+        let mut g = Vec::new();
+        assert!(f.ghost_line_into(0, 0, Side::JHi, &mut g));
         assert_eq!(g, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
-    fn ghost_line_fine_to_coarse_and_back() {
+    fn ghost_line_into_fine_to_coarse_and_back() {
         // Patch (0,0) level 0 (4 cells/side), patch (0,1) level 1 (8).
         let map = RefinementMap::from_levels(layout(), vec![0, 1, 0, 0], 3);
         let mut f = CompositeField::zeros(&map);
@@ -362,32 +364,36 @@ mod tests {
             f.patch_mut(0, 1).set(i, 0, i as f64);
         }
         // Coarse patch sees averaged/interpolated fine values.
-        let g = f.ghost_line(0, 0, Side::JHi).unwrap();
+        let mut g = Vec::new();
+        assert!(f.ghost_line_into(0, 0, Side::JHi, &mut g));
         assert_eq!(g.len(), 4);
         // Ghost cell k center maps to fine position (k+0.5)*2 - 0.5 = 2k+0.5.
         for (k, &v) in g.iter().enumerate() {
             assert!((v - (2.0 * k as f64 + 0.5)).abs() < 1e-12, "k={k}: {v}");
         }
-        // Fine patch sees interpolated coarse values.
+        // Fine patch sees interpolated coarse values; the same buffer is
+        // reused and resized to the longer line.
         for i in 0..4 {
             f.patch_mut(0, 0).set(i, 3, (10 * (i + 1)) as f64);
         }
-        let g2 = f.ghost_line(0, 1, Side::JLo).unwrap();
-        assert_eq!(g2.len(), 8);
+        assert!(f.ghost_line_into(0, 1, Side::JLo, &mut g));
+        assert_eq!(g.len(), 8);
         // First fine ghost cell center: t = 0.5*4/8 - 0.5 = -0.25 -> clamped 0.
-        assert_eq!(g2[0], 10.0);
+        assert_eq!(g[0], 10.0);
         // Middle cells interpolate between coarse neighbors.
-        assert!(g2[3] > 10.0 && g2[3] < 40.0);
+        assert!(g[3] > 10.0 && g[3] < 40.0);
     }
 
     #[test]
-    fn ghost_line_none_at_domain_boundary() {
+    fn ghost_line_into_false_at_domain_boundary() {
         let f = CompositeField::zeros(&mixed_map());
-        assert!(f.ghost_line(0, 0, Side::ILo).is_none());
-        assert!(f.ghost_line(0, 0, Side::JLo).is_none());
-        assert!(f.ghost_line(1, 1, Side::IHi).is_none());
-        assert!(f.ghost_line(1, 1, Side::JHi).is_none());
-        assert!(f.ghost_line(0, 0, Side::JHi).is_some());
+        let mut g = vec![1.0; 3];
+        assert!(!f.ghost_line_into(0, 0, Side::ILo, &mut g));
+        assert!(g.is_empty(), "a boundary side leaves the buffer empty");
+        assert!(!f.ghost_line_into(0, 0, Side::JLo, &mut g));
+        assert!(!f.ghost_line_into(1, 1, Side::IHi, &mut g));
+        assert!(!f.ghost_line_into(1, 1, Side::JHi, &mut g));
+        assert!(f.ghost_line_into(0, 0, Side::JHi, &mut g));
     }
 
     #[test]

@@ -16,6 +16,8 @@ use crate::{CompositeField, Side};
 pub fn gradient_indicator(field: &CompositeField, dy0: f64, dx0: f64) -> Vec<f64> {
     let layout = *field.map().layout();
     let mut out = Vec::with_capacity(layout.num_patches());
+    let (mut ghost_n, mut ghost_s, mut ghost_e, mut ghost_w) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for py in 0..layout.npy {
         for px in 0..layout.npx {
             let idx = layout.idx(py, px);
@@ -25,34 +27,39 @@ pub fn gradient_indicator(field: &CompositeField, dy0: f64, dx0: f64) -> Vec<f64
             let dx = dx0 / (1u64 << level) as f64;
             let (ny, nx) = (p.ny(), p.nx());
 
-            let ghost_n = field.ghost_line(py, px, Side::ILo);
-            let ghost_s = field.ghost_line(py, px, Side::IHi);
-            let ghost_e = field.ghost_line(py, px, Side::JHi);
-            let ghost_w = field.ghost_line(py, px, Side::JLo);
+            let has_n = field.ghost_line_into(py, px, Side::ILo, &mut ghost_n);
+            let has_s = field.ghost_line_into(py, px, Side::IHi, &mut ghost_s);
+            let has_e = field.ghost_line_into(py, px, Side::JHi, &mut ghost_e);
+            let has_w = field.ghost_line_into(py, px, Side::JLo, &mut ghost_w);
 
             // Value lookup with ghost fallback; at true domain boundaries we
             // mirror the interior cell (zero-gradient), which never creates a
             // spurious maximum.
             let at = |i: i64, j: i64| -> f64 {
+                let jc = j.clamp(0, nx as i64 - 1) as usize;
                 if i < 0 {
-                    match &ghost_n {
-                        Some(g) => g[j.clamp(0, nx as i64 - 1) as usize],
-                        None => p.get(0, j.clamp(0, nx as i64 - 1) as usize),
+                    if has_n {
+                        ghost_n[jc]
+                    } else {
+                        p.get(0, jc)
                     }
                 } else if i >= ny as i64 {
-                    match &ghost_s {
-                        Some(g) => g[j.clamp(0, nx as i64 - 1) as usize],
-                        None => p.get(ny - 1, j.clamp(0, nx as i64 - 1) as usize),
+                    if has_s {
+                        ghost_s[jc]
+                    } else {
+                        p.get(ny - 1, jc)
                     }
                 } else if j < 0 {
-                    match &ghost_w {
-                        Some(g) => g[i as usize],
-                        None => p.get(i as usize, 0),
+                    if has_w {
+                        ghost_w[i as usize]
+                    } else {
+                        p.get(i as usize, 0)
                     }
                 } else if j >= nx as i64 {
-                    match &ghost_e {
-                        Some(g) => g[i as usize],
-                        None => p.get(i as usize, nx - 1),
+                    if has_e {
+                        ghost_e[i as usize]
+                    } else {
+                        p.get(i as usize, nx - 1)
                     }
                 } else {
                     p.get(i as usize, j as usize)

@@ -47,7 +47,7 @@ proptest! {
     /// stay within the neighbor's value bounds (linear interpolation
     /// cannot overshoot).
     #[test]
-    fn ghost_line_extent_and_bounds(levels in arb_levels(4, 3), seed in 0u64..500) {
+    fn ghost_line_into_extent_and_bounds(levels in arb_levels(4, 3), seed in 0u64..500) {
         let layout = PatchLayout::new(2, 2, 4, 4);
         let map = RefinementMap::from_levels(layout, levels, 3);
         let mut f = CompositeField::zeros(&map);
@@ -60,11 +60,12 @@ proptest! {
                 p.as_mut_slice()[k] = v;
             }
         }
+        let mut g = Vec::new();
         for py in 0..2 {
             for px in 0..2 {
                 let me = f.patch(py, px);
                 for side in Side::ALL {
-                    if let Some(g) = f.ghost_line(py, px, side) {
+                    if f.ghost_line_into(py, px, side, &mut g) {
                         let expect = match side {
                             Side::ILo | Side::IHi => me.nx(),
                             Side::JLo | Side::JHi => me.ny(),

@@ -59,12 +59,13 @@ fn bench_ghost_exchange(c: &mut Criterion) {
     let map = RefinementMap::from_levels(layout, (0..16).map(|i| (i % 4) as u8).collect(), 3);
     let field = CompositeField::constant(&map, 1.0);
     c.bench_function("ghost_lines_16_patches_mixed", |bench| {
+        let mut g = Vec::new();
         bench.iter(|| {
             let mut acc = 0.0;
             for py in 0..4 {
                 for px in 0..4 {
                     for side in Side::ALL {
-                        if let Some(g) = field.ghost_line(py, px, side) {
+                        if field.ghost_line_into(py, px, side, &mut g) {
                             acc += g[0];
                         }
                     }

@@ -490,7 +490,9 @@ fn main() {
             .filter(|c| c.o_len >= PACKED_MIN_OLEN)
             .count();
         if bad.is_empty() {
-            println!("bf16 gate: OK (all {eligible} packed-eligible rows >= {floor}x dispatched f32)");
+            println!(
+                "bf16 gate: OK (all {eligible} packed-eligible rows >= {floor}x dispatched f32)"
+            );
         } else {
             eprintln!("bf16 gate FAILED:");
             for b in &bad {

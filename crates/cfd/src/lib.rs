@@ -17,6 +17,7 @@
 pub mod geometry;
 pub mod mesh;
 pub mod monitor;
+mod par;
 pub mod qoi;
 pub mod sa;
 pub mod solver;

@@ -2,9 +2,9 @@
 //! with precomputed solid masks and SA wall distances.
 
 use adarnet_amr::{PatchLayout, RefinementMap};
-use rayon::prelude::*;
 
 use crate::geometry::CaseConfig;
+use crate::par;
 
 /// A [`CaseConfig`] bound to a [`RefinementMap`]: per-cell solid masks and
 /// wall distances at each patch's resolution.
@@ -23,35 +23,29 @@ pub struct CaseMesh {
 
 impl CaseMesh {
     /// Discretize `case` on `map`, computing masks and wall distances.
-    /// Patch work is embarrassingly parallel and rayon-distributed, since
-    /// polygon distance over fine immersed-body patches is the single most
-    /// expensive setup step.
+    /// Patch work is embarrassingly parallel and split over cell-balanced
+    /// patch ranges ([`crate::par`]), since polygon distance over fine
+    /// immersed-body patches is the single most expensive setup step.
     pub fn new(case: CaseConfig, map: RefinementMap) -> CaseMesh {
         let layout = *map.layout();
-        let per_patch: Vec<(Vec<bool>, Vec<f64>)> = (0..layout.num_patches())
-            .into_par_iter()
-            .map(|idx| {
-                let (py, px) = layout.coords(idx);
-                let level = map.level_at(idx);
-                let (h, w) = layout.patch_extent(level);
-                let dx = case.lx / (layout.coarse_w() << level) as f64;
-                let dy = case.ly / (layout.coarse_h() << level) as f64;
-                let x0 = px as f64 * layout.pw as f64 * case.lx / layout.coarse_w() as f64;
-                let y0 = py as f64 * layout.ph as f64 * case.ly / layout.coarse_h() as f64;
-                let dmin = 0.5 * (dx * dx + dy * dy).sqrt();
-                let mut solid = Vec::with_capacity(h * w);
-                let mut dist = Vec::with_capacity(h * w);
-                for i in 0..h {
-                    for j in 0..w {
-                        let x = x0 + (j as f64 + 0.5) * dx;
-                        let y = y0 + (i as f64 + 0.5) * dy;
-                        solid.push(case.is_solid(x, y));
-                        dist.push(case.wall_distance(x, y).max(dmin));
-                    }
-                }
-                (solid, dist)
-            })
-            .collect();
+        let n = layout.num_patches();
+        let mut ranges = Vec::new();
+        par::balanced_ranges(
+            n,
+            par::parts(),
+            |idx| layout.patch_cells(map.level_at(idx)),
+            &mut ranges,
+        );
+        let mut per_patch = vec![(Vec::new(), Vec::new()); n];
+        let mut rest = &mut per_patch[..];
+        let parts = ranges
+            .iter()
+            .map(|r| (r.start, par::take_front(&mut rest, r.len())));
+        par::run_parts(parts, |(first, out)| {
+            for (k, slot) in out.iter_mut().enumerate() {
+                *slot = discretize_patch(&case, &map, first + k);
+            }
+        });
         let (solid, dist) = per_patch.into_iter().unzip();
         CaseMesh {
             case,
@@ -109,6 +103,30 @@ impl CaseMesh {
     pub fn with_map(&self, map: RefinementMap) -> CaseMesh {
         CaseMesh::new(self.case.clone(), map)
     }
+}
+
+/// Row-major solid mask and clamped wall distance of patch `idx`.
+fn discretize_patch(case: &CaseConfig, map: &RefinementMap, idx: usize) -> (Vec<bool>, Vec<f64>) {
+    let layout = map.layout();
+    let (py, px) = layout.coords(idx);
+    let level = map.level_at(idx);
+    let (h, w) = layout.patch_extent(level);
+    let dx = case.lx / (layout.coarse_w() << level) as f64;
+    let dy = case.ly / (layout.coarse_h() << level) as f64;
+    let x0 = px as f64 * layout.pw as f64 * case.lx / layout.coarse_w() as f64;
+    let y0 = py as f64 * layout.ph as f64 * case.ly / layout.coarse_h() as f64;
+    let dmin = 0.5 * (dx * dx + dy * dy).sqrt();
+    let mut solid = Vec::with_capacity(h * w);
+    let mut dist = Vec::with_capacity(h * w);
+    for i in 0..h {
+        for j in 0..w {
+            let x = x0 + (j as f64 + 0.5) * dx;
+            let y = y0 + (i as f64 + 0.5) * dy;
+            solid.push(case.is_solid(x, y));
+            dist.push(case.wall_distance(x, y).max(dmin));
+        }
+    }
+    (solid, dist)
 }
 
 #[cfg(test)]

@@ -80,9 +80,7 @@ mod x86 {
     //! pointer loads/stores need `unsafe`, each over a slice whose
     //! bounds were just checked (see the per-site SAFETY notes).
 
-    use core::arch::x86_64::{
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps,
-    };
+    use core::arch::x86_64::{_mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_storeu_ps};
 
     use crate::kernels::{MR, NR};
 

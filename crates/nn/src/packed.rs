@@ -236,8 +236,7 @@ impl PackedConvWeights {
                     self.device
                         .conv2d_forward_blocked(x, weight, &self.bias, self.pad)
                 } else {
-                    self.device
-                        .conv2d_forward(x, weight, &self.bias, self.pad)
+                    self.device.conv2d_forward(x, weight, &self.bias, self.pad)
                 }
             }
             WeightPlane::Bf16 {
@@ -339,13 +338,8 @@ mod tests {
     fn bf16_weight_bytes_drop_the_unpacked_copy() {
         let w = seq_tensor(Shape::d4(8, 4, 3, 3));
         let b = seq_tensor(Shape::d1(8));
-        let q = PackedConvWeights::from_conv_weight_as(
-            Device::active(),
-            Precision::Bf16,
-            &w,
-            &b,
-            1,
-        );
+        let q =
+            PackedConvWeights::from_conv_weight_as(Device::active(), Precision::Bf16, &w, &b, 1);
         // 2-byte panels plus the f32 bias, no unpacked weight copy.
         assert_eq!(q.weight_bytes(), packed_panels_len(8, 36) * 2 + 8 * 4);
         assert_eq!(q.precision(), Precision::Bf16);
@@ -400,13 +394,8 @@ mod tests {
         let w = seq_tensor(Shape::d4(3, 2, 3, 3));
         let b = seq_tensor(Shape::d1(3));
         let p = PackedConvWeights::from_conv_weight(&w, &b, 1);
-        let q = PackedConvWeights::from_conv_weight_as(
-            Device::active(),
-            Precision::Bf16,
-            &w,
-            &b,
-            1,
-        );
+        let q =
+            PackedConvWeights::from_conv_weight_as(Device::active(), Precision::Bf16, &w, &b, 1);
         for hw in [3usize, 6, 16] {
             let x = seq_tensor(Shape::d4(1, 2, hw, hw));
             let yf = p.forward(&x);

@@ -196,7 +196,16 @@ mod tests {
     fn widening_is_exact_on_bf16_representable_values() {
         // Values whose low 16 f32 bits are zero survive the round trip
         // bitwise: powers of two, small integers, zero, infinities.
-        for v in [0.0f32, -0.0, 1.0, -2.0, 0.5, 96.0, f32::INFINITY, f32::MIN_POSITIVE] {
+        for v in [
+            0.0f32,
+            -0.0,
+            1.0,
+            -2.0,
+            0.5,
+            96.0,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+        ] {
             assert_eq!(bf16_to_f32(f32_to_bf16(v)).to_bits(), v.to_bits(), "{v}");
         }
     }

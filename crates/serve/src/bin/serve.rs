@@ -294,7 +294,11 @@ fn precision_comparison(
         f32_weight_bytes_resident: f32_weight_bytes,
         bf16_throughput_rps: bf16_rps,
         bf16_weight_bytes_resident: bf16_weight_bytes,
-        bf16_vs_f32_speedup: if f32_rps > 0.0 { bf16_rps / f32_rps } else { 0.0 },
+        bf16_vs_f32_speedup: if f32_rps > 0.0 {
+            bf16_rps / f32_rps
+        } else {
+            0.0
+        },
         bf16_vs_f32_weight_bytes: if f32_weight_bytes > 0 {
             bf16_weight_bytes as f64 / f32_weight_bytes as f64
         } else {

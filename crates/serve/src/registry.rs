@@ -58,6 +58,10 @@ pub struct ActiveModel {
     pub checkpoint: Arc<ModelCheckpoint>,
 }
 
+/// One precision's engine slot: the engine and the generation it was
+/// built from, or `None` before first use.
+type EngineSlot = RwLock<Option<(u64, Arc<InferenceEngine>)>>;
+
 /// Named-checkpoint store with one hot-swappable active model.
 pub struct ModelRegistry {
     models: RwLock<HashMap<String, Arc<ModelCheckpoint>>>,
@@ -68,7 +72,7 @@ pub struct ModelRegistry {
     /// each keyed by the generation it was built from. One engine per
     /// requested precision serves every worker; precisions nobody
     /// routes to are never built.
-    engines: [RwLock<Option<(u64, Arc<InferenceEngine>)>>; PRECISION_COUNT],
+    engines: [EngineSlot; PRECISION_COUNT],
 }
 
 impl Default for ModelRegistry {

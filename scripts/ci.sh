@@ -4,7 +4,9 @@
 #
 #   ./scripts/ci.sh          # full gate
 #   SKIP_SLOW=1 ./scripts/ci.sh   # skip the (slow) workspace test suite
-#                                 # and shrink the model-check budget
+#                                 # (keeping the seconds-long cfd + amr
+#                                 # suites, which guard the bitwise solver
+#                                 # sweep) and shrink the model-check budget
 #
 # Runs entirely offline: external deps resolve to vendor/ path crates.
 
@@ -17,6 +19,11 @@ cargo build --release --workspace
 if [ "${SKIP_SLOW:-0}" != "1" ]; then
   echo "==> cargo test -q"
   cargo test -q --workspace
+else
+  # The solver's golden-digest and partition suites take seconds in
+  # release, so the bitwise sweep is checked on every fast run too.
+  echo "==> cargo test -q --release -p adarnet-cfd -p adarnet-amr"
+  cargo test -q --release -p adarnet-cfd -p adarnet-amr
 fi
 
 echo "==> repo lint (crates/check)"
