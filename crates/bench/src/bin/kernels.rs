@@ -1,5 +1,5 @@
 //! Convolution kernel throughput sweep over the paper's shapes, per
-//! compute backend.
+//! compute backend, plus the RANS solver's pseudo-time step.
 //!
 //! Benchmarks the four forward paths — direct (`Device::conv2d_forward`),
 //! im2col + row GEMM (`conv2d_forward_gemm`), the register-tiled,
@@ -22,6 +22,12 @@
 //! showed packed 0.65–0.94x blocked, which is why the layers now route
 //! that band to blocked-unpacked).
 //!
+//! The `cfd_step` rows time `RansSolver` steps of a warm solver on the
+//! Table 1 LR layout (32x64 cells in 8x8 patches) refined uniformly to
+//! level 0 and level 2, on the cylinder and the channel, with the sweep
+//! on one thread and on every available core. Each row reports
+//! nanoseconds per cell-iteration (one cell updated once).
+//!
 //! Usage:
 //!
 //! ```text
@@ -41,7 +47,8 @@
 //!   mode (0.75x under `--smoke` budgets) — the regression the
 //!   `PACKED_MIN_OLEN` routing exists to prevent.
 //! * **`--check-against`**: per `(label, backend)` row, the blocked
-//!   path must run within 1.5x of the committed baseline.
+//!   path must run within 1.5x of the committed baseline, and so must
+//!   every single-thread `cfd_step` row's ns per cell-iteration.
 //! * **`--gate-simd`**: same-run comparison — the SIMD backend's
 //!   blocked GFLOP/s must be >= 1.5x scalar on the bin-3 rows (skipped
 //!   with a note on hardware without AVX2/FMA, where both planes run
@@ -57,6 +64,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use adarnet_amr::{PatchLayout, RefinementMap};
+use adarnet_cfd::{CaseConfig, CaseMesh, RansSolver, SolverConfig};
 use adarnet_nn::he_normal;
 use adarnet_nn::kernels::{
     pack_weight_panels, packed_panels_len, PackedPanels, GEMM_THRESHOLD, PACKED_MIN_OLEN,
@@ -113,6 +122,22 @@ struct ConfigResult {
     bf16_vs_f32: f64,
 }
 
+/// One `cfd_step` row: a warm solver's pseudo-time step.
+#[derive(Debug, Serialize, Deserialize)]
+struct CfdStepResult {
+    /// `{case}_l{level}_{1t|all}`.
+    label: String,
+    /// Uniform refinement level of the 32x64 LR layout.
+    level: u8,
+    /// Sweep threads: 1, or every available core.
+    threads: usize,
+    /// Active cells.
+    cells: usize,
+    /// Wall time per cell-iteration: best round's seconds per step over
+    /// `cells`.
+    ns_per_cell_iter: f64,
+}
+
 /// The committed benchmark artifact.
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchReport {
@@ -129,6 +154,7 @@ struct BenchReport {
     /// to scalar, so the two backends' rows measure the same code).
     simd_active: bool,
     configs: Vec<ConfigResult>,
+    cfd_step: Vec<CfdStepResult>,
 }
 
 /// Time `f` adaptively: one probe iteration sizes a batch that targets
@@ -267,6 +293,45 @@ fn bench_config(
     }
 }
 
+/// Time warm `RansSolver` steps, one thread and all threads per mesh.
+fn bench_cfd_step(budget: f64, rounds: usize) -> Vec<CfdStepResult> {
+    let all = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut rows = Vec::new();
+    for (name, case) in [
+        ("cylinder", CaseConfig::cylinder(1e5)),
+        ("channel", CaseConfig::channel(2.5e3)),
+    ] {
+        for level in [0u8, 2] {
+            let map = RefinementMap::uniform(PatchLayout::for_field(32, 64, 8, 8), level, 3);
+            let mut solver =
+                RansSolver::new(CaseMesh::new(case.clone(), map), SolverConfig::default());
+            let cells = solver.mesh.map.active_cells();
+            for _ in 0..20 {
+                solver.step();
+            }
+            for (threads, tag) in [(1, "1t"), (all, "all")] {
+                let label = format!("{name}_l{level}_{tag}");
+                eprintln!("  running cfd_step {label} ...");
+                let secs = (0..rounds)
+                    .map(|_| {
+                        time_secs(budget, || {
+                            black_box(solver.step_parts(threads));
+                        })
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                rows.push(CfdStepResult {
+                    label,
+                    level,
+                    threads,
+                    cells,
+                    ns_per_cell_iter: secs * 1e9 / cells as f64,
+                });
+            }
+        }
+    }
+    rows
+}
+
 const BACKENDS: [Device; 2] = [Device::CpuScalar, Device::CpuSimd];
 
 fn run_sweep(smoke: bool) -> BenchReport {
@@ -301,20 +366,24 @@ fn run_sweep(smoke: bool) -> BenchReport {
         }
     }
 
+    let cfd_step = bench_cfd_step(budget, if smoke { 3 } else { 5 });
+
     BenchReport {
-        schema: "adarnet-bench-kernels-v3".to_string(),
+        schema: "adarnet-bench-kernels-v4".to_string(),
         mode: if smoke { "smoke" } else { "full" }.to_string(),
         gemm_threshold: GEMM_THRESHOLD,
         packed_min_olen: PACKED_MIN_OLEN,
         simd_active: Device::CpuSimd.is_simd_active(),
         configs,
+        cfd_step,
     }
 }
 
 /// Compare `current` against a committed baseline; returns the rows
-/// whose blocked path regressed by more than `max_ratio`. Rows are
-/// keyed `(label, backend)`; baseline rows without a match (e.g. an
-/// older schema) are skipped.
+/// whose blocked path or single-thread `cfd_step` time regressed by more
+/// than `max_ratio`. Kernel rows are keyed `(label, backend)`, `cfd_step`
+/// rows by label; baseline rows without a match (e.g. an older schema)
+/// are skipped.
 fn regressions(current: &BenchReport, baseline: &BenchReport, max_ratio: f64) -> Vec<String> {
     let mut bad = Vec::new();
     for cur in &current.configs {
@@ -328,6 +397,20 @@ fn regressions(current: &BenchReport, baseline: &BenchReport, max_ratio: f64) ->
                 bad.push(format!(
                     "{} [{}]: blocked path {:.2}x slower than baseline ({:.3e}s vs {:.3e}s)",
                     cur.label, cur.backend, ratio, cur.blocked_secs, base.blocked_secs
+                ));
+            }
+        }
+    }
+    // Only single-thread `cfd_step` rows are gated. On a small shared
+    // host the other cores' availability swings the all-threads rows by
+    // up to 2x from one minute to the next, with no change in the code.
+    for cur in current.cfd_step.iter().filter(|c| c.threads == 1) {
+        if let Some(base) = baseline.cfd_step.iter().find(|c| c.label == cur.label) {
+            let ratio = cur.ns_per_cell_iter / base.ns_per_cell_iter;
+            if ratio > max_ratio {
+                bad.push(format!(
+                    "cfd_step {}: {:.2}x slower than baseline ({:.1} vs {:.1} ns/cell-iter)",
+                    cur.label, ratio, cur.ns_per_cell_iter, base.ns_per_cell_iter
                 ));
             }
         }
@@ -460,6 +543,17 @@ fn main() {
         );
     }
 
+    println!(
+        "{:<22} {:>7} {:>8} {:>14}",
+        "cfd_step", "threads", "cells", "ns/cell-iter"
+    );
+    for c in &report.cfd_step {
+        println!(
+            "{:<22} {:>7} {:>8} {:>14.1}",
+            c.label, c.threads, c.cells, c.ns_per_cell_iter
+        );
+    }
+
     let mut failed = false;
 
     // Packed floor: always on. Smoke budgets are noisy on shared
@@ -526,9 +620,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
         let bad = regressions(&report, &baseline, 1.5);
         if bad.is_empty() {
+            let gated = report.cfd_step.iter().filter(|c| c.threads == 1).count();
             println!(
                 "regression gate: OK ({} rows within 1.5x of baseline)",
-                report.configs.len()
+                report.configs.len() + gated
             );
         } else {
             eprintln!("regression gate FAILED:");
@@ -545,6 +640,9 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+    if smoke && out.is_none() {
+        return; // smoke numbers never replace the committed full baseline
     }
 
     let path = out.unwrap_or_else(|| "BENCH_kernels.json".to_string());

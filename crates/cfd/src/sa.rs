@@ -5,6 +5,14 @@
 //! model are those in its original reference". Trip terms (`ft1`, `ft2`)
 //! are omitted, i.e. the fully-turbulent variant that production-grade
 //! codes (including OpenFOAM's `SpalartAllmaras`) default to.
+//!
+//! The source term is one long dependent chain (`chi -> fv1 -> fv2 ->
+//! S_tilde -> r -> g -> g^6 -> pow(1/6) -> fw`). The solver evaluates it
+//! a row of cells at a time with [`source_row`], which runs the chain in
+//! three loops (up to the sixth root, the root, the rest) so the
+//! independent cells of a row overlap in the CPU. [`source`] is the same
+//! arithmetic for one cell: both are built from [`source_pre_root`] and
+//! [`source_from_root`], so they agree bit for bit.
 
 /// SA model constants (original 1992 values).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,22 +84,45 @@ pub fn s_tilde(omega: f64, nu_tilde: f64, d: f64, chi: f64, c: &SaConstants) -> 
     s.max(0.3 * omega).max(1e-16)
 }
 
-/// Wall function `fw(r)` with `r = min(nu_tilde / (S_tilde kappa^2 d^2), 10)`.
+/// `fw` up to its sixth root: `(g, x)` with `r = min(nu_tilde /
+/// (S_tilde kappa^2 d^2), 10)`, `g = r + cw2 (r^6 - r)` and
+/// `x = (1 + cw3^6) / (g^6 + cw3^6)`, so that `fw = g * x^(1/6)`.
 #[inline]
-pub fn fw(nu_tilde: f64, s_t: f64, d: f64, c: &SaConstants) -> f64 {
+pub fn fw_pre_root(nu_tilde: f64, s_t: f64, d: f64, c: &SaConstants) -> (f64, f64) {
     let r = (nu_tilde / (s_t * c.kappa * c.kappa * d * d)).min(10.0);
     let g = r + c.cw2 * (r.powi(6) - r);
     let c6 = c.cw3.powi(6);
-    g * ((1.0 + c6) / (g.powi(6) + c6)).powf(1.0 / 6.0)
+    (g, (1.0 + c6) / (g.powi(6) + c6))
 }
 
-/// Eddy viscosity from the working variable: `nu_t = nu_tilde * fv1(chi)`.
+/// The sixth root that [`fw_pre_root`] stops short of.
+#[inline]
+pub fn sixth_root(x: f64) -> f64 {
+    x.powf(1.0 / 6.0)
+}
+
+/// Wall function `fw(r) = g * x^(1/6)`, from [`fw_pre_root`].
+#[inline]
+pub fn fw(nu_tilde: f64, s_t: f64, d: f64, c: &SaConstants) -> f64 {
+    let (g, x) = fw_pre_root(nu_tilde, s_t, d, c);
+    g * sixth_root(x)
+}
+
+/// `nu_tilde * fv1(nu_tilde / nu)` with no guard on the sign of
+/// `nu_tilde`: [`eddy_viscosity`] for `nu_tilde > 0`.
+#[inline]
+pub fn eddy_viscosity_unguarded(nu_tilde: f64, nu: f64, c: &SaConstants) -> f64 {
+    nu_tilde * fv1(nu_tilde / nu, c)
+}
+
+/// Eddy viscosity from the working variable: `nu_t = nu_tilde * fv1(chi)`,
+/// zero for `nu_tilde <= 0`.
 #[inline]
 pub fn eddy_viscosity(nu_tilde: f64, nu: f64, c: &SaConstants) -> f64 {
     if nu_tilde <= 0.0 {
         return 0.0;
     }
-    nu_tilde * fv1(nu_tilde / nu, c)
+    eddy_viscosity_unguarded(nu_tilde, nu, c)
 }
 
 /// Net local SA source (production minus destruction) per unit volume:
@@ -106,11 +137,91 @@ pub fn source(nu_tilde: f64, nu: f64, omega: f64, d: f64, c: &SaConstants) -> f6
         // laminar/zero cells.
         return 0.0;
     }
+    let (s_t, g, x) = source_pre_root(nu_tilde, nu, omega, d, c);
+    source_from_root(nu_tilde, d, s_t, g, sixth_root(x), c)
+}
+
+/// [`source`] for `nu_tilde > 0` up to the sixth root in `fw`:
+/// `(S_tilde, g, x)`, see [`fw_pre_root`].
+#[inline]
+pub fn source_pre_root(
+    nu_tilde: f64,
+    nu: f64,
+    omega: f64,
+    d: f64,
+    c: &SaConstants,
+) -> (f64, f64, f64) {
     let chi = nu_tilde / nu;
     let s_t = s_tilde(omega, nu_tilde, d, chi, c);
+    let (g, x) = fw_pre_root(nu_tilde, s_t, d, c);
+    (s_t, g, x)
+}
+
+/// The rest of [`source`] for `nu_tilde > 0`, given [`source_pre_root`]'s
+/// `S_tilde` and `g` and the root `x^(1/6)`:
+/// `cb1 S_tilde nu_tilde - cw1 fw (nu_tilde / d)^2`.
+#[inline]
+pub fn source_from_root(
+    nu_tilde: f64,
+    d: f64,
+    s_t: f64,
+    g: f64,
+    root: f64,
+    c: &SaConstants,
+) -> f64 {
     let production = c.cb1 * s_t * nu_tilde;
-    let destruction = c.cw1 * fw(nu_tilde, s_t, d, c) * (nu_tilde / d) * (nu_tilde / d);
+    let destruction = c.cw1 * (g * root) * (nu_tilde / d) * (nu_tilde / d);
     production - destruction
+}
+
+/// Reusable per-row scratch for [`source_row`]; it only grows.
+#[derive(Debug, Default)]
+pub struct SourceRow {
+    s_t: Vec<f64>,
+    g: Vec<f64>,
+    /// `x`, then its sixth root.
+    x: Vec<f64>,
+}
+
+/// [`source`] for every cell of a row, with the same bits, reported as
+/// `emit(k, source_k)` in cell order.
+///
+/// The chain runs in three loops, so one cell's divisions and root
+/// overlap its neighbours' instead of waiting on them: every cell up to
+/// the sixth root, then every root, then `fw` and production minus
+/// destruction. Cells with `nu_tilde <= 0` compute garbage in the first
+/// two loops and get a zero source in the third.
+pub fn source_row(
+    nu_tilde: &[f64],
+    nu: f64,
+    omega: &[f64],
+    d: &[f64],
+    c: &SaConstants,
+    scratch: &mut SourceRow,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let n = nu_tilde.len();
+    let (omega, d) = (&omega[..n], &d[..n]);
+    let SourceRow { s_t, g, x } = scratch;
+    for v in [&mut *s_t, &mut *g, &mut *x] {
+        v.resize(n, 0.0);
+    }
+    let (s_t, g, x) = (&mut s_t[..n], &mut g[..n], &mut x[..n]);
+    for k in 0..n {
+        (s_t[k], g[k], x[k]) = source_pre_root(nu_tilde[k], nu, omega[k], d[k], c);
+    }
+    for x in x.iter_mut() {
+        *x = sixth_root(*x);
+    }
+    for k in 0..n {
+        let nt = nu_tilde[k];
+        let src = if nt <= 0.0 {
+            0.0
+        } else {
+            source_from_root(nt, d[k], s_t[k], g[k], x[k], c)
+        };
+        emit(k, src);
+    }
 }
 
 #[cfg(test)]

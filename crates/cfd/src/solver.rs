@@ -25,7 +25,13 @@
 //!   thread count (DESIGN.md §4, "Sweep execution");
 //! * ghost lines across refinement-level jumps come from
 //!   [`adarnet_amr::CompositeField::ghost_line_into`] into per-thread
-//!   scratch, so a warm step allocates nothing per patch.
+//!   scratch, so a warm step allocates nothing per patch;
+//! * a patch is updated row by row: a branch-free flux pass writes the
+//!   row's `u`, `v`, `p` and the non-source `nu_tilde` terms, then an SA
+//!   pass ([`sa::source_row`]) evaluates the SA source for the whole row
+//!   in stages, so neighbouring cells' long division chains overlap, and
+//!   updates `nu_tilde`. Each cell's arithmetic is unchanged, operation
+//!   for operation (DESIGN.md §4, "Sweep execution").
 
 use adarnet_amr::{gradient_indicator, AmrSim, RefinementMap, Side, SolveStats};
 use adarnet_tensor::Grid2;
@@ -113,8 +119,9 @@ impl Ghost {
 }
 
 /// One thread's padded working arrays for the patch it is sweeping:
-/// `(ny + 2) x (nx + 2)` with a ghost ring. Reused patch after patch and
-/// step after step; the vectors only grow, to fit the largest patch.
+/// `(ny + 2) x (nx + 2)` with a ghost ring, plus one row of scratch.
+/// Reused patch after patch and step after step; the vectors only grow,
+/// to fit the largest patch.
 #[derive(Default)]
 struct Padded {
     ny: usize,
@@ -127,14 +134,39 @@ struct Padded {
     nut_face: Vec<f64>,
     /// One ghost line.
     ghost: Vec<f64>,
+    /// What the flux pass of a row hands to its SA pass.
+    row: Row,
+}
+
+/// The flux pass's results for one row, one entry per cell.
+#[derive(Default)]
+struct Row {
+    flux: Vec<Flux>,
+    /// Vorticity magnitude, contiguous for [`sa::source_row`].
+    omega: Vec<f64>,
+    sa: sa::SourceRow,
+}
+
+/// One cell's flux-pass results.
+#[derive(Clone, Copy, Default)]
+struct Flux {
+    /// `u`, `v` and `p` of the next state.
+    u: f64,
+    v: f64,
+    p: f64,
+    /// `-conv(nu_tilde)`.
+    nt_adv: f64,
+    /// `diff(nu_tilde)`.
+    nt_diff: f64,
+    /// `cb2 / sigma * |grad nu_tilde|^2`.
+    nt_grad: f64,
+    /// Local pseudo-time step.
+    dt: f64,
+    /// `rhs_u^2 + rhs_v^2`, zero in solid cells.
+    res: f64,
 }
 
 impl Padded {
-    #[inline(always)]
-    fn at(&self, i: usize, j: usize) -> usize {
-        i * (self.nx + 2) + j
-    }
-
     /// Load patch `idx` of the old state with its ghost ring: neighbour
     /// lines from [`adarnet_amr::CompositeField::ghost_line_into`],
     /// physical boundary conditions elsewhere. Corners are never read by
@@ -207,6 +239,60 @@ impl Padded {
                 .iter()
                 .map(|&nt| sa::eddy_viscosity(nt.max(0.0), ctx.nu, &ctx.sa)),
         );
+        self.row.flux.resize(nx, Flux::default());
+        self.row.omega.resize(nx, 0.0);
+    }
+}
+
+/// The centre, west, east, south and north neighbours of the `nx` cells
+/// of a padded row starting at index `c0`, as row slices.
+#[inline(always)]
+fn stencil<T>(a: &[T], c0: usize, nx: usize) -> [&[T]; 5] {
+    let stride = nx + 2;
+    let row = |o: usize| &a[o..o + nx];
+    [
+        row(c0),
+        row(c0 - 1),
+        row(c0 + 1),
+        row(c0 - stride),
+        row(c0 + stride),
+    ]
+}
+
+/// `rows` cut to their first `nx` entries.
+#[inline(always)]
+fn cut<T>(rows: [&[T]; 5], nx: usize) -> [&[T]; 5] {
+    let [c, w, e, s, n] = rows;
+    [&c[..nx], &w[..nx], &e[..nx], &s[..nx], &n[..nx]]
+}
+
+/// One row's 5-point stencils into the padded arrays: `[centre, west,
+/// east, south, north]` row slices of each.
+struct Stencil<'a> {
+    u: [&'a [f64]; 5],
+    v: [&'a [f64]; 5],
+    p: [&'a [f64]; 5],
+    nt: [&'a [f64]; 5],
+    nut_face: [&'a [f64]; 5],
+    solid: [&'a [bool]; 5],
+}
+
+impl<'a> Stencil<'a> {
+    fn new(
+        q: &'a [Vec<f64>; 4],
+        nut_face: &'a [f64],
+        solid: &'a [bool],
+        c0: usize,
+        nx: usize,
+    ) -> Self {
+        Stencil {
+            u: stencil(&q[0], c0, nx),
+            v: stencil(&q[1], c0, nx),
+            p: stencil(&q[2], c0, nx),
+            nt: stencil(&q[3], c0, nx),
+            nut_face: stencil(nut_face, c0, nx),
+            solid: stencil(solid, c0, nx),
+        }
     }
 }
 
@@ -251,171 +337,224 @@ impl Sweep<'_> {
         }
     }
 
-    /// Write patch `idx` of the next state from the padded old one.
-    /// Returns the patch's sum of squared momentum RHS and fluid cells.
-    fn patch(&self, idx: usize, pad: &Padded, out: [&mut [f64]; 4]) -> (f64, usize) {
+    /// Write patch `idx` of the next state from the padded old one, row
+    /// by row: the row's flux pass, then its SA pass, then its cells'
+    /// residual terms in cell order. Returns the patch's sum of squared
+    /// momentum RHS and fluid cells.
+    fn patch(&self, idx: usize, pad: &mut Padded, out: [&mut [f64]; 4]) -> (f64, usize) {
         let [out_u, out_v, out_p, out_nt] = out;
-        let (cfg, sa_c, nu, beta) = (self.cfg, self.sa, self.nu, self.beta);
-        let (dy, dx) = self.mesh.cell_size(self.mesh.map.level_at(idx));
+        let h = self.mesh.cell_size(self.mesh.map.level_at(idx));
         let dist = &self.mesh.dist[idx];
-        let (ny, nx) = (pad.ny, pad.nx);
-        let [pu, pv, pp, pnt] = &pad.q;
+        let Padded {
+            ny,
+            nx,
+            q,
+            solid,
+            nut_face,
+            row,
+            ..
+        } = pad;
+        let (ny, nx) = (*ny, *nx);
+        let Row {
+            flux,
+            omega,
+            sa: scratch,
+        } = row;
+        let (flux, omega) = (&mut flux[..nx], &mut omega[..nx]);
         let mut res_sq = 0.0;
         let mut cells = 0usize;
-
         for i in 0..ny {
-            for j in 0..nx {
-                let c = pad.at(i + 1, j + 1);
-                let k = i * nx + j;
-                let w = pad.at(i + 1, j);
-                let e = pad.at(i + 1, j + 2);
-                let s_ = pad.at(i, j + 1);
-                let n_ = pad.at(i + 2, j + 1);
-                if pad.solid[c] {
-                    // Solid cells: zero velocity and nu_tilde, pressure
-                    // relaxed toward fluid neighbors for a smooth gradient
-                    // at the surface.
-                    let mut psum = 0.0;
-                    let mut cnt = 0.0;
-                    for nb in [w, e, s_, n_] {
-                        if !pad.solid[nb] {
-                            psum += pp[nb];
-                            cnt += 1.0;
-                        }
-                    }
-                    out_u[k] = 0.0;
-                    out_v[k] = 0.0;
-                    out_p[k] = if cnt > 0.0 { psum / cnt } else { pp[c] };
-                    out_nt[k] = 0.0;
-                    continue;
-                }
+            let st = Stencil::new(q, nut_face, solid, (i + 1) * (nx + 2) + 1, nx);
+            let row_cells = i * nx..(i + 1) * nx;
 
-                let (uc, vc, pc, ntc) = (pu[c], pv[c], pp[c], pnt[c]);
-
-                // Neighbor values with no-slip reflection across solid
-                // faces (stair-step immersed boundary).
-                let gv = |arr: &[f64], nb: usize, center: f64, refl: f64| -> f64 {
-                    if pad.solid[nb] {
-                        refl * center
-                    } else {
-                        arr[nb]
-                    }
-                };
-                let u_w = gv(pu, w, uc, -1.0);
-                let u_e = gv(pu, e, uc, -1.0);
-                let u_s = gv(pu, s_, uc, -1.0);
-                let u_n = gv(pu, n_, uc, -1.0);
-                let v_w = gv(pv, w, vc, -1.0);
-                let v_e = gv(pv, e, vc, -1.0);
-                let v_s = gv(pv, s_, vc, -1.0);
-                let v_n = gv(pv, n_, vc, -1.0);
-                let p_w = gv(pp, w, pc, 1.0);
-                let p_e = gv(pp, e, pc, 1.0);
-                let p_s = gv(pp, s_, pc, 1.0);
-                let p_n = gv(pp, n_, pc, 1.0);
-                let nt_w = gv(pnt, w, ntc, -1.0);
-                let nt_e = gv(pnt, e, ntc, -1.0);
-                let nt_s = gv(pnt, s_, ntc, -1.0);
-                let nt_n = gv(pnt, n_, ntc, -1.0);
-
-                // Effective viscosity at the cell and faces. A solid
-                // neighbour's value is the reflected centre, so its face
-                // term is computed here rather than read from `nut_face`.
-                let nut_c = sa::eddy_viscosity(ntc, nu, &sa_c);
-                let nue_c = nu + nut_c;
-                let face_nue = |nb: usize, nt_nb: f64| -> f64 {
-                    let nut_nb = if pad.solid[nb] {
-                        sa::eddy_viscosity(nt_nb.max(0.0), nu, &sa_c)
-                    } else {
-                        pad.nut_face[nb]
-                    };
-                    nu + 0.5 * (nut_c + nut_nb)
-                };
-                let nue_e = face_nue(e, nt_e);
-                let nue_w = face_nue(w, nt_w);
-                let nue_n = face_nue(n_, nt_n);
-                let nue_s = face_nue(s_, nt_s);
-
-                // Convection: first-order upwind blended with a central
-                // contribution per cfg.conv_blend (hybrid scheme;
-                // non-conservative form).
-                let blend = cfg.conv_blend;
-                let upwind = |q_c: f64, q_w: f64, q_e: f64, q_s: f64, q_n: f64| -> f64 {
-                    let fx_up = if uc >= 0.0 {
-                        uc * (q_c - q_w) / dx
-                    } else {
-                        uc * (q_e - q_c) / dx
-                    };
-                    let fy_up = if vc >= 0.0 {
-                        vc * (q_c - q_s) / dy
-                    } else {
-                        vc * (q_n - q_c) / dy
-                    };
-                    if blend <= 0.0 {
-                        return fx_up + fy_up;
-                    }
-                    let fx_ct = uc * (q_e - q_w) / (2.0 * dx);
-                    let fy_ct = vc * (q_n - q_s) / (2.0 * dy);
-                    (1.0 - blend) * (fx_up + fy_up) + blend * (fx_ct + fy_ct)
-                };
-
-                let conv_u = upwind(uc, u_w, u_e, u_s, u_n);
-                let conv_v = upwind(vc, v_w, v_e, v_s, v_n);
-                let conv_nt = upwind(ntc, nt_w, nt_e, nt_s, nt_n);
-
-                let diff_u = (nue_e * (u_e - uc) - nue_w * (uc - u_w)) / (dx * dx)
-                    + (nue_n * (u_n - uc) - nue_s * (uc - u_s)) / (dy * dy);
-                let diff_v = (nue_e * (v_e - vc) - nue_w * (vc - v_w)) / (dx * dx)
-                    + (nue_n * (v_n - vc) - nue_s * (vc - v_s)) / (dy * dy);
-
-                let dpdx = (p_e - p_w) / (2.0 * dx);
-                let dpdy = (p_n - p_s) / (2.0 * dy);
-
-                let rhs_u = -conv_u - dpdx + diff_u;
-                let rhs_v = -conv_v - dpdy + diff_v;
-
-                // Continuity with artificial compressibility plus scalar
-                // pressure dissipation.
-                let div = (u_e - u_w) / (2.0 * dx) + (v_n - v_s) / (2.0 * dy);
-                let c_ac = (uc * uc + vc * vc + beta).sqrt();
-                let diss_p =
-                    cfg.kp * c_ac * ((p_e - 2.0 * pc + p_w) / dx + (p_n - 2.0 * pc + p_s) / dy);
-                let rhs_p = -beta * div + diss_p;
-
-                // SA transport.
-                let omega = ((v_e - v_w) / (2.0 * dx) - (u_n - u_s) / (2.0 * dy)).abs();
-                let src = sa::source(ntc, nu, omega, dist[k], &sa_c);
-                let face_dnt = |nt_nb: f64| -> f64 { nu + 0.5 * (ntc + nt_nb.max(0.0)) };
-                let diff_nt = ((face_dnt(nt_e) * (nt_e - ntc) - face_dnt(nt_w) * (ntc - nt_w))
-                    / (dx * dx)
-                    + (face_dnt(nt_n) * (nt_n - ntc) - face_dnt(nt_s) * (ntc - nt_s)) / (dy * dy))
-                    / sa_c.sigma;
-                let grad_nt_sq = {
-                    let gx = (nt_e - nt_w) / (2.0 * dx);
-                    let gy = (nt_n - nt_s) / (2.0 * dy);
-                    gx * gx + gy * gy
-                };
-                let rhs_nt = -conv_nt + src + diff_nt + sa_c.cb2 / sa_c.sigma * grad_nt_sq;
-
-                // Local pseudo-time step.
-                let lam_x = uc.abs() + c_ac;
-                let lam_y = vc.abs() + c_ac;
-                let dt = cfg.cfl
-                    / (lam_x / dx
-                        + lam_y / dy
-                        + 2.0 * nue_c * (1.0 / (dx * dx) + 1.0 / (dy * dy))
-                        + 1e-30);
-
-                out_u[k] = uc + dt * rhs_u;
-                out_v[k] = vc + dt * rhs_v;
-                out_p[k] = pc + dt * rhs_p;
-                out_nt[k] = (ntc + dt * rhs_nt).max(0.0);
-
-                res_sq += rhs_u * rhs_u + rhs_v * rhs_v;
-                cells += 1;
+            self.flux_pass(&st, h, flux, omega);
+            for (k, f) in row_cells.clone().zip(flux.iter()) {
+                (out_u[k], out_v[k], out_p[k]) = (f.u, f.v, f.p);
             }
+
+            // SA pass: the source, then the nu_tilde update, zero in
+            // solid cells.
+            let (ntc, solid_c) = (st.nt[0], st.solid[0]);
+            let out_nt = &mut out_nt[row_cells.clone()];
+            sa::source_row(
+                ntc,
+                self.nu,
+                omega,
+                &dist[row_cells],
+                &self.sa,
+                scratch,
+                |k, src| {
+                    let f = &flux[k];
+                    let rhs_nt = f.nt_adv + src + f.nt_diff + f.nt_grad;
+                    out_nt[k] = if solid_c[k] {
+                        0.0
+                    } else {
+                        (ntc[k] + f.dt * rhs_nt).max(0.0)
+                    };
+                },
+            );
+
+            for f in flux.iter() {
+                res_sq += f.res;
+            }
+            cells += solid_c.iter().filter(|&&s| !s).count();
         }
         (res_sq, cells)
+    }
+
+    /// The flux pass of one row: every cell's [`Flux`] and vorticity. No
+    /// branches on cell data: the upwind direction, the reflection across
+    /// a solid neighbour and the solid cell's own update are selects,
+    /// each cell computing both sides.
+    fn flux_pass(
+        &self,
+        st: &Stencil<'_>,
+        (dy, dx): (f64, f64),
+        out: &mut [Flux],
+        omega: &mut [f64],
+    ) {
+        let (cfg, sa_c, nu, beta) = (self.cfg, self.sa, self.nu, self.beta);
+        let blend = cfg.conv_blend;
+        let nx = out.len();
+        let omega = &mut omega[..nx];
+        // Re-sliced to `out`'s length, so indexing by `j < nx` needs no
+        // bounds checks.
+        let (pu, pv, pp, pnt) = (cut(st.u, nx), cut(st.v, nx), cut(st.p, nx), cut(st.nt, nx));
+        let [_, fw_, fe, fs, fn_] = cut(st.nut_face, nx);
+        let [sc, sw, se, ss, sn] = cut(st.solid, nx);
+
+        for j in 0..nx {
+            let (uc, vc, pc, ntc) = (pu[0][j], pv[0][j], pp[0][j], pnt[0][j]);
+            let (s_w, s_e, s_s, s_n) = (sw[j], se[j], ss[j], sn[j]);
+            let p_nb = [pp[1][j], pp[2][j], pp[3][j], pp[4][j]];
+
+            // Neighbor values with no-slip reflection across solid
+            // faces (stair-step immersed boundary).
+            let gv = |arr: &[&[f64]; 5], center: f64, refl: f64| -> [f64; 4] {
+                let r = refl * center;
+                let [w, e, s, n] = [arr[1][j], arr[2][j], arr[3][j], arr[4][j]];
+                [
+                    if s_w { r } else { w },
+                    if s_e { r } else { e },
+                    if s_s { r } else { s },
+                    if s_n { r } else { n },
+                ]
+            };
+            let [u_w, u_e, u_s, u_n] = gv(&pu, uc, -1.0);
+            let [v_w, v_e, v_s, v_n] = gv(&pv, vc, -1.0);
+            let [p_w, p_e, p_s, p_n] = gv(&pp, pc, 1.0);
+            let [nt_w, nt_e, nt_s, nt_n] = gv(&pnt, ntc, -1.0);
+
+            // Effective viscosity at the cell and faces. A solid
+            // neighbour's nu_tilde is the reflected centre, whose
+            // `eddy_viscosity(max(-ntc, 0))` is the unguarded eddy
+            // viscosity of `|ntc|` when `ntc < 0` and zero otherwise,
+            // while the cell's own is that value when `ntc > 0`.
+            let nut_abs = sa::eddy_viscosity_unguarded(ntc.abs(), nu, &sa_c);
+            let nut_c = if ntc <= 0.0 { 0.0 } else { nut_abs };
+            let nut_refl = if ntc < 0.0 { nut_abs } else { 0.0 };
+            let nue_c = nu + nut_c;
+            let face_nue = |s_nb: bool, nut_nb: f64| -> f64 {
+                nu + 0.5 * (nut_c + if s_nb { nut_refl } else { nut_nb })
+            };
+            let nue_e = face_nue(s_e, fe[j]);
+            let nue_w = face_nue(s_w, fw_[j]);
+            let nue_n = face_nue(s_n, fn_[j]);
+            let nue_s = face_nue(s_s, fs[j]);
+
+            // Convection: first-order upwind blended with a central
+            // contribution per cfg.conv_blend (hybrid scheme;
+            // non-conservative form).
+            let upwind = |q_c: f64, q_w: f64, q_e: f64, q_s: f64, q_n: f64| -> f64 {
+                let dq_x = if uc >= 0.0 { q_c - q_w } else { q_e - q_c };
+                let dq_y = if vc >= 0.0 { q_c - q_s } else { q_n - q_c };
+                let fx_up = uc * dq_x / dx;
+                let fy_up = vc * dq_y / dy;
+                // The same branch for every cell of every sweep.
+                if blend <= 0.0 {
+                    return fx_up + fy_up;
+                }
+                let fx_ct = uc * (q_e - q_w) / (2.0 * dx);
+                let fy_ct = vc * (q_n - q_s) / (2.0 * dy);
+                (1.0 - blend) * (fx_up + fy_up) + blend * (fx_ct + fy_ct)
+            };
+
+            let conv_u = upwind(uc, u_w, u_e, u_s, u_n);
+            let conv_v = upwind(vc, v_w, v_e, v_s, v_n);
+            let conv_nt = upwind(ntc, nt_w, nt_e, nt_s, nt_n);
+
+            let diff_u = (nue_e * (u_e - uc) - nue_w * (uc - u_w)) / (dx * dx)
+                + (nue_n * (u_n - uc) - nue_s * (uc - u_s)) / (dy * dy);
+            let diff_v = (nue_e * (v_e - vc) - nue_w * (vc - v_w)) / (dx * dx)
+                + (nue_n * (v_n - vc) - nue_s * (vc - v_s)) / (dy * dy);
+
+            let dpdx = (p_e - p_w) / (2.0 * dx);
+            let dpdy = (p_n - p_s) / (2.0 * dy);
+
+            let rhs_u = -conv_u - dpdx + diff_u;
+            let rhs_v = -conv_v - dpdy + diff_v;
+
+            // Continuity with artificial compressibility plus scalar
+            // pressure dissipation.
+            let div = (u_e - u_w) / (2.0 * dx) + (v_n - v_s) / (2.0 * dy);
+            let c_ac = (uc * uc + vc * vc + beta).sqrt();
+            let diss_p =
+                cfg.kp * c_ac * ((p_e - 2.0 * pc + p_w) / dx + (p_n - 2.0 * pc + p_s) / dy);
+            let rhs_p = -beta * div + diss_p;
+
+            // SA transport terms other than the source.
+            omega[j] = ((v_e - v_w) / (2.0 * dx) - (u_n - u_s) / (2.0 * dy)).abs();
+            let face_dnt = |nt_nb: f64| -> f64 { nu + 0.5 * (ntc + nt_nb.max(0.0)) };
+            let nt_diff = ((face_dnt(nt_e) * (nt_e - ntc) - face_dnt(nt_w) * (ntc - nt_w))
+                / (dx * dx)
+                + (face_dnt(nt_n) * (nt_n - ntc) - face_dnt(nt_s) * (ntc - nt_s)) / (dy * dy))
+                / sa_c.sigma;
+            let grad_nt_sq = {
+                let gx = (nt_e - nt_w) / (2.0 * dx);
+                let gy = (nt_n - nt_s) / (2.0 * dy);
+                gx * gx + gy * gy
+            };
+
+            // Local pseudo-time step.
+            let lam_x = uc.abs() + c_ac;
+            let lam_y = vc.abs() + c_ac;
+            let dt = cfg.cfl
+                / (lam_x / dx
+                    + lam_y / dy
+                    + 2.0 * nue_c * (1.0 / (dx * dx) + 1.0 / (dy * dy))
+                    + 1e-30);
+
+            // Solid cells: zero velocity (and nu_tilde, in the SA pass),
+            // pressure relaxed toward fluid neighbours for a smooth
+            // gradient at the surface. `psum` starts at +0 and so is
+            // never -0: adding +0 for a solid neighbour leaves its bits
+            // as they are.
+            let fluid_p = |s_nb: bool, p_nb: f64| if s_nb { 0.0 } else { p_nb };
+            let fluid_n = |s_nb: bool| if s_nb { 0.0 } else { 1.0 };
+            let psum = 0.0
+                + fluid_p(s_w, p_nb[0])
+                + fluid_p(s_e, p_nb[1])
+                + fluid_p(s_s, p_nb[2])
+                + fluid_p(s_n, p_nb[3]);
+            let cnt = fluid_n(s_w) + fluid_n(s_e) + fluid_n(s_s) + fluid_n(s_n);
+            let solid_p = if cnt > 0.0 { psum / cnt } else { pc };
+
+            let solid_c = sc[j];
+            out[j] = Flux {
+                u: if solid_c { 0.0 } else { uc + dt * rhs_u },
+                v: if solid_c { 0.0 } else { vc + dt * rhs_v },
+                p: if solid_c { solid_p } else { pc + dt * rhs_p },
+                nt_adv: -conv_nt,
+                nt_diff,
+                nt_grad: sa_c.cb2 / sa_c.sigma * grad_nt_sq,
+                dt,
+                res: if solid_c {
+                    0.0
+                } else {
+                    rhs_u * rhs_u + rhs_v * rhs_v
+                },
+            };
+        }
     }
 }
 
@@ -553,29 +692,44 @@ impl RansSolver {
     }
 
     /// March to convergence: iterate until the normalized residual drops
-    /// below `cfg.tol` or `cfg.max_iters` is reached.
+    /// below `cfg.tol`, turns non-finite, or `cfg.max_iters` is reached.
+    /// `history` gets every `cfg.check_every`-th residual and the
+    /// non-finite one a diverged solve stops at.
+    ///
+    /// Each solve bumps one of the counters `solver_converged_total`,
+    /// `solver_capped_total` and `solver_nonfinite_total`, and adds its
+    /// steps to `solver_iterations_total`.
     pub fn solve_to_convergence(&mut self) -> SolveStats {
         let _span = adarnet_obs::span!("stage_solver");
         let t0 = Instant::now();
         let start_iters = self.iters_done;
         let mut res = f64::INFINITY;
+        let mut diverged = false;
         while self.iters_done - start_iters < self.cfg.max_iters {
             res = self.step();
-            if (self.iters_done - start_iters).is_multiple_of(self.cfg.check_every) {
+            diverged = !res.is_finite();
+            if diverged || (self.iters_done - start_iters).is_multiple_of(self.cfg.check_every) {
                 self.history.push((self.iters_done, res));
-                if !res.is_finite() {
-                    break;
-                }
             }
-            if res < self.cfg.tol {
+            if diverged || res < self.cfg.tol {
                 break;
             }
         }
+        let iterations = self.iters_done - start_iters;
+        let converged = res < self.cfg.tol;
+        if converged {
+            adarnet_obs::counter!("solver_converged_total").inc();
+        } else if diverged {
+            adarnet_obs::counter!("solver_nonfinite_total").inc();
+        } else {
+            adarnet_obs::counter!("solver_capped_total").inc();
+        }
+        adarnet_obs::counter!("solver_iterations_total").add(iterations);
         SolveStats {
-            iterations: self.iters_done - start_iters,
+            iterations,
             final_residual: res,
             seconds: t0.elapsed().as_secs_f64(),
-            converged: res < self.cfg.tol,
+            converged,
         }
     }
 
@@ -787,14 +941,26 @@ mod tests {
                 ..SolverConfig::default()
             },
         );
+        // The first non-finite residual, stepping by hand.
+        let mut manual = RansSolver::with_state(s.mesh.clone(), s.state.clone(), s.cfg);
+        let first_bad = (1..=5000u64)
+            .find(|_| !manual.step().is_finite())
+            .expect("the absurd CFL diverges");
+        assert!(
+            !first_bad.is_multiple_of(s.cfg.check_every),
+            "the run must diverge between two residual checks to test anything"
+        );
+
         let stats = s.solve_to_convergence();
         assert!(!stats.converged);
-        assert!(
-            stats.iterations < 5000,
-            "diverging run was not cut short: {} iterations",
-            stats.iterations
+        assert!(!stats.final_residual.is_finite());
+        assert_eq!(
+            stats.iterations, first_bad,
+            "the solve did not stop at the first non-finite residual"
         );
-        assert!(!stats.final_residual.is_finite() || stats.final_residual > 1.0);
+        let &(at, res) = s.history.last().expect("the non-finite sample is recorded");
+        assert_eq!(at, first_bad);
+        assert!(!res.is_finite());
     }
 
     #[test]

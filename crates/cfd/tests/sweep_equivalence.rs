@@ -1,11 +1,13 @@
 //! Golden equivalence for the RANS pseudo-time sweep.
 //!
-//! The digests below were recorded from the sequential collect-and-copy
-//! sweep that the partitioned sweep replaced. Every input must reproduce
-//! them bit for bit, through `step()` and through every partition of the
-//! patches into contiguous ranges: the update is Jacobi in space and the
-//! residual is reduced per patch in patch-index order, so the thread count
-//! cannot change a single bit.
+//! The first four digests below were recorded from the sequential
+//! collect-and-copy sweep that the partitioned sweep replaced; the
+//! level-3 and recirculating ones from the partitioned per-cell sweep
+//! that the row-wise flux and SA passes replaced. Every input must
+//! reproduce them bit for bit, through `step()` and through every
+//! partition of the patches into contiguous ranges: the update is Jacobi
+//! in space and the residual is reduced per patch in patch-index order,
+//! so the thread count cannot change a single bit.
 //!
 //! Digests are FNV-1a over the `f64` bit patterns of the final state
 //! (fields u, v, p, nu_tilde; patches in index order; cells row-major) and
@@ -33,6 +35,18 @@ fn mixed_cylinder_map() -> RefinementMap {
     RefinementMap::from_levels(layout, levels, 3)
 }
 
+/// A level-3 patch (row length 64) over part of the body, with a level-2
+/// patch below it, level-0 patches left and right of it (the one to the
+/// right cutting the body too) and a level-1 patch above.
+fn level3_cylinder_map() -> RefinementMap {
+    let layout = lr_layout();
+    let mut levels = vec![0u8; layout.num_patches()];
+    levels[layout.idx(2, 1)] = 3;
+    levels[layout.idx(1, 1)] = 2;
+    levels[layout.idx(3, 1)] = 1;
+    RefinementMap::from_levels(layout, levels, 3)
+}
+
 fn cylinder_l0() -> RansSolver {
     let mesh = CaseMesh::new(
         CaseConfig::cylinder(1e5),
@@ -43,6 +57,11 @@ fn cylinder_l0() -> RansSolver {
 
 fn cylinder_mixed() -> RansSolver {
     let mesh = CaseMesh::new(CaseConfig::cylinder(1e5), mixed_cylinder_map());
+    RansSolver::new(mesh, SolverConfig::default())
+}
+
+fn cylinder_level3() -> RansSolver {
+    let mesh = CaseMesh::new(CaseConfig::cylinder(1e5), level3_cylinder_map());
     RansSolver::new(mesh, SolverConfig::default())
 }
 
@@ -87,6 +106,46 @@ fn dnn_like() -> RansSolver {
     RansSolver::with_state(mesh, state, cfg)
 }
 
+/// A recirculating start on the uniform cylinder mesh: a reversed-flow
+/// band (`u < 0`) in the wake, `v < 0` over half the domain, and a
+/// blended convection scheme, so both upwind directions and both signs of
+/// the central term run on every field.
+fn recirculating() -> RansSolver {
+    let mesh = CaseMesh::new(
+        CaseConfig::cylinder(1e5),
+        RefinementMap::uniform(lr_layout(), 0, 3),
+    );
+    let layout = *mesh.layout();
+    let u_in = mesh.case.u_in;
+    let nt_in = mesh.case.nu_tilde_inflow();
+    let mut state = FlowState::zeros(&mesh.map);
+    for idx in 0..layout.num_patches() {
+        let (py, px) = layout.coords(idx);
+        let (ny, nx) = (state.u.patch_at(idx).ny(), state.u.patch_at(idx).nx());
+        for i in 0..ny {
+            for j in 0..nx {
+                let (x, y) = mesh.cell_center(py, px, i, j);
+                let k = i * nx + j;
+                let band = (-(y - 1.0) * (y - 1.0) / 0.1).exp();
+                let wake = if x > 2.0 { 1.6 * band } else { 0.0 };
+                state.u.patch_at_mut(idx).as_mut_slice()[k] = u_in * (1.0 - wake);
+                state.v.patch_at_mut(idx).as_mut_slice()[k] =
+                    0.4 * u_in * (1.3 * x).sin() * (2.2 * y).cos();
+                state.p.patch_at_mut(idx).as_mut_slice()[k] =
+                    0.2 * u_in * u_in * (0.9 * x).sin() * (1.7 * y).sin();
+                state.nt.patch_at_mut(idx).as_mut_slice()[k] =
+                    nt_in * (2.0 + 1.5 * (2.3 * x).cos() * (3.7 * y).sin());
+            }
+        }
+    }
+    state.enforce_solid(&mesh);
+    let cfg = SolverConfig {
+        conv_blend: 0.5,
+        ..SolverConfig::default()
+    };
+    RansSolver::with_state(mesh, state, cfg)
+}
+
 /// `(patch, cell)` of the first fluid cell with a solid 4-neighbour in its
 /// own patch.
 fn first_fluid_cell_touching_solid(mesh: &CaseMesh) -> (usize, usize) {
@@ -112,7 +171,7 @@ struct Golden {
     residuals: u64,
 }
 
-const GOLDEN: [Golden; 4] = [
+const GOLDEN: [Golden; 6] = [
     Golden {
         name: "cylinder L0",
         build: cylinder_l0,
@@ -140,6 +199,20 @@ const GOLDEN: [Golden; 4] = [
         steps: 25,
         state: 0x0d7b_7340_bc5b_fbbe,
         residuals: 0xd058_35e5_c989_2580,
+    },
+    Golden {
+        name: "cylinder level-3 patch",
+        build: cylinder_level3,
+        steps: 30,
+        state: 0x0793_dc99_c8ee_e0a3,
+        residuals: 0x71fc_6820_19c5_cee1,
+    },
+    Golden {
+        name: "recirculating start",
+        build: recirculating,
+        steps: 40,
+        state: 0x0a3d_4fa8_b1eb_422e,
+        residuals: 0xc9bd_7342_0cd9_06e3,
     },
 ];
 
@@ -209,4 +282,29 @@ fn every_partition_reproduces_golden_digests() {
             );
         }
     }
+}
+
+#[test]
+fn recirculating_start_runs_both_upwind_branches() {
+    let mut s = recirculating();
+    let reversed = |s: &RansSolver| {
+        let n = s.mesh.layout().num_patches();
+        let count = |f: &adarnet_amr::CompositeField| {
+            (0..n)
+                .flat_map(|idx| f.patch_at(idx).as_slice().iter().zip(&s.mesh.solid[idx]))
+                .filter(|&(&x, &solid)| !solid && x < 0.0)
+                .count()
+        };
+        (count(&s.state.u), count(&s.state.v))
+    };
+    let (u0, v0) = reversed(&s);
+    assert!(
+        u0 > 50 && v0 > 500,
+        "start not recirculating: {u0} u<0, {v0} v<0"
+    );
+    for _ in 0..40 {
+        assert!(s.step().is_finite());
+    }
+    let (u1, v1) = reversed(&s);
+    assert!(u1 > 0 && v1 > 0, "reversed flow gone: {u1} u<0, {v1} v<0");
 }
